@@ -19,10 +19,13 @@ test:
 	$(GO) test ./...
 
 # The agent fleet is the concurrency hot spot; the race detector plus the
-# harpdebug invariant hooks catch what plain tests miss.
+# harpdebug invariant hooks catch what plain tests miss. Under harpdebug
+# every commit also checks the fleet's persistent schedule against a full
+# rebuild, so the experiments' commits run through that oracle too.
 race:
 	$(GO) test -race ./...
 	$(GO) test -tags harpdebug ./internal/core/ ./internal/agent/ ./internal/invariant/ ./internal/transport/ ./internal/cosim/
+	$(GO) test -tags harpdebug -run 'Fig10|Chaos|Loss|Scale' ./internal/experiments/
 
 # The baseline is committed and empty; any entry added there must still
 # fire (stale entries are findings), so it can only be burned down.

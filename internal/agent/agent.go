@@ -72,7 +72,9 @@ type dirState struct {
 	// the gateway), keyed by layer.
 	parts map[int]schedule.Region
 
-	// assignment is the RM cell assignment of the own-layer links.
+	// assignment is the RM cell assignment of the own-layer links. A
+	// stored slice is never modified in place (a change stores a new one):
+	// the fleet's persistent schedule shares them.
 	assignment map[topology.NodeID][]schedule.Cell
 	// sentRegions caches the last partition regions pushed to children, to
 	// send updates only on change.
@@ -155,16 +157,20 @@ type Node struct {
 	msgID uint16
 
 	// joining is set while this node re-attaches after a parent switch: the
-	// next interface report goes out with the Join flag and these own-link
-	// demands.
-	joining    bool
-	joinDemand [2]int
-
+	// next interface report goes out with the Join flag and joinDemand's
+	// own-link demands.
+	joining bool
 	// settledOnce records that the first PartitionSet was consumed, so a
 	// duplicated copy of it (same regions) is recognised as such — without
 	// it the legitimate first empty-entries set of a zero-demand subtree
 	// would look like a duplicate of nothing.
 	settledOnce bool
+	// ix is the node's dense tree index, stable for the fleet's lifetime;
+	// changes is where this agent reports its mutations to the fleet. (The
+	// small fields sit together so the struct keeps its allocation size.)
+	ix         int32
+	changes    *changes
+	joinDemand [2]int
 
 	// Rejections counts adjustment requests the node (as gateway) could not
 	// satisfy.
@@ -217,6 +223,37 @@ func (n *Node) nextMsgID() uint16 {
 
 //harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) isGateway() bool { return n.parent == topology.None }
+
+// markDirty tells the fleet this node's own-layer assignment was written,
+// so the next commit re-reads it. Every write to dirState.assignment goes
+// through a path that calls it.
+//
+//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
+func (n *Node) markDirty() { n.changes.mark(n.ix) }
+
+// stampPending records that a layer's escalation left at virtual time
+// since, keeping the fleet's running pending count in step.
+//
+//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
+func (n *Node) stampPending(st *dirState, layer int, since float64) {
+	if st.pendingSince == nil {
+		st.pendingSince = make(map[int]float64)
+	}
+	if _, had := st.pendingSince[layer]; !had {
+		n.changes.pending.Add(1)
+	}
+	st.pendingSince[layer] = since
+}
+
+// clearPending drops a layer's escalation stamp, if any.
+//
+//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
+func (n *Node) clearPending(st *dirState, layer int) {
+	if _, had := st.pendingSince[layer]; had {
+		delete(st.pendingSince, layer)
+		n.changes.pending.Add(-1)
+	}
+}
 
 // reject counts an adjustment the node could not satisfy, in both the
 // legacy field and the metrics registry.
@@ -348,7 +385,7 @@ func (n *Node) unwindPending(d topology.Direction, layer int) {
 	}
 	delete(st.pendingLayouts, layer)
 	delete(st.pendingComps, layer)
-	delete(st.pendingSince, layer)
+	n.clearPending(st, layer)
 	if q := st.deferred[layer]; len(q) > 0 {
 		delete(st.deferred, layer)
 		for _, da := range q {
@@ -641,6 +678,7 @@ func (n *Node) onPartitionSet(m proto.PartitionSet) {
 //harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) assignOwn(d topology.Direction) {
 	st := n.dir(d)
+	n.markDirty()
 	region, ok := st.parts[n.ownLayer]
 	demands := make([]core.LinkDemand, 0, len(n.children))
 	total := 0
@@ -668,7 +706,7 @@ func (n *Node) assignOwn(d topology.Direction) {
 		// grant re-runs the full assignment.
 		for _, c := range n.children {
 			cells := st.assignment[c]
-			kept := cells[:0]
+			kept := make([]schedule.Cell, 0, len(cells))
 			for _, cell := range cells {
 				if region.Contains(cell) {
 					kept = append(kept, cell)
@@ -997,10 +1035,7 @@ func (n *Node) hostChildComponent(from topology.NodeID, d topology.Direction, la
 	st.pendingComps[layer] = merged
 	st.pendingLayouts[layer] = layout
 	if n.vnow != nil {
-		if st.pendingSince == nil {
-			st.pendingSince = make(map[int]float64)
-		}
-		st.pendingSince[layer] = n.vnow()
+		n.stampPending(st, layer, n.vnow())
 	}
 	n.escalate(d, layer, grown)
 }
@@ -1034,6 +1069,11 @@ func (n *Node) onChildLeave(from topology.NodeID) {
 		for layer := range st.sentRegions {
 			delete(st.sentRegions[layer], from)
 		}
+		// The departed link's cells go too: assignOwn's early returns
+		// (underfit, no own partition) only revisit current children, and a
+		// stale entry would keep scheduling the link from here after the
+		// child re-attaches elsewhere.
+		delete(st.assignment, from)
 		n.assignOwn(d)
 	}
 }
@@ -1311,7 +1351,7 @@ func (n *Node) applyPartition(d topology.Direction, layer int, region schedule.R
 			tr.Emit(obs.Ev(obs.KindAgentCommit).WithNode(int(n.id)).WithLayer(layer).WithDetail(d.String()))
 		}
 	}
-	delete(st.pendingSince, layer)
+	n.clearPending(st, layer)
 	if n.giveUps != nil {
 		// A grant proves the parent reachable: future give-ups to it count
 		// as fresh degradations.
@@ -1388,8 +1428,10 @@ func (n *Node) setStructure(parent topology.NodeID, ownLayer, maxLayer int) {
 func (n *Node) resetResources() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.markDirty()
 	for _, d := range topology.Directions() {
 		st := n.dir(d)
+		n.changes.pending.Add(-int64(len(st.pendingSince)))
 		// Wipe everything but the configured link demands (reloaded by the
 		// caller) and the granted own-link cells; a leaf drops back to all-nil
 		// maps, a parent gets fresh empty ones.
@@ -1428,6 +1470,20 @@ func (n *Node) Assignment(d topology.Direction) map[topology.NodeID][]schedule.C
 		out[c] = append([]schedule.Cell(nil), cells...)
 	}
 	return out
+}
+
+// eachAssigned calls fn, under the node's lock, for every non-empty
+// own-layer link assignment. fn must not keep cells.
+func (n *Node) eachAssigned(fn func(l topology.Link, cells []schedule.Cell)) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, d := range topology.Directions() {
+		for child, cells := range n.dir(d).assignment {
+			if len(cells) > 0 {
+				fn(topology.Link{Child: child, Direction: d}, cells)
+			}
+		}
+	}
 }
 
 // Partition returns the node's granted partition at a layer.

@@ -19,6 +19,11 @@ type Fleet struct {
 	// nodes is indexed by the tree's dense node index (topology.Tree.Index);
 	// slots freed by node removal are nil.
 	nodes []*Node
+
+	// changes collects what the agents mutate between commits; commit is
+	// the persistent global schedule Schedule patches from it.
+	changes *changes
+	commit  commitState
 }
 
 // node resolves an agent through the tree's dense index; nil if unknown.
@@ -77,7 +82,8 @@ func Deploy(tree *topology.Tree, frame schedule.Slotframe, demand *traffic.Deman
 	if err := tree.Validate(); err != nil {
 		return nil, err
 	}
-	f := &Fleet{Tree: tree, Frame: frame, nodes: make([]*Node, tree.IndexCap())}
+	f := &Fleet{Tree: tree, Frame: frame, nodes: make([]*Node, tree.IndexCap()),
+		changes: newChanges(tree.IndexCap())}
 	for _, id := range tree.Nodes() {
 		parent, err := tree.Parent(id)
 		if err != nil {
@@ -110,6 +116,8 @@ func Deploy(tree *topology.Tree, frame schedule.Slotframe, demand *traffic.Deman
 			net:      net,
 			tracer:   cfg.tracer,
 			metrics:  cfg.metrics,
+			changes:  f.changes,
+			ix:       int32(tree.Index(id)),
 		}
 		// Only nodes that host children carry protocol maps; leaf agents stay
 		// map-free (the dominant population at scale). The gateway always gets
@@ -177,40 +185,6 @@ func (f *Fleet) RequestLinkDemand(l topology.Link, cells int) error {
 		return fmt.Errorf("agent: unknown node %d", l.Child)
 	}
 	return n.RequestDemand(l.Direction, cells)
-}
-
-// BuildSchedule assembles the global schedule from every agent's local
-// assignment — the instrumentation view used for validation and
-// simulation.
-func (f *Fleet) BuildSchedule() (*schedule.Schedule, error) {
-	s, err := schedule.NewSchedule(f.Frame)
-	if err != nil {
-		return nil, err
-	}
-	for _, id := range f.Tree.Nodes() {
-		n := f.node(id)
-		for _, d := range topology.Directions() {
-			for child, cells := range n.Assignment(d) {
-				if len(cells) == 0 {
-					continue
-				}
-				if err := s.Assign(topology.Link{Child: child, Direction: d}, cells...); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return s, nil
-}
-
-// Validate builds the global schedule and checks the collision-freedom and
-// half-duplex invariants.
-func (f *Fleet) Validate() error {
-	s, err := f.BuildSchedule()
-	if err != nil {
-		return err
-	}
-	return s.Validate(f.Tree)
 }
 
 // Reparent performs a distributed topology change (§V, "topology
@@ -287,13 +261,20 @@ func (f *Fleet) rehome(node, newParent topology.NodeID, newDemand *traffic.Deman
 	if err != nil {
 		return err
 	}
+	oldParent, err := f.Tree.Parent(node)
+	if err != nil {
+		return err
+	}
 
 	// 2. Rewire (what RPL does) and refresh every agent's coordinates —
 	// depths shift inside the moved subtree, subtree-max layers shift on
 	// both ancestor chains.
-	if err := f.Tree.Reparent(node, newParent); err != nil {
+	if err := f.commit.reparent(f.Tree, node, newParent); err != nil {
 		return err
 	}
+	// Both parents' assignments are about to change, and the moved
+	// subtree is reset: the next commit re-reads all three.
+	f.changes.mark(int32(f.Tree.Index(oldParent)), int32(f.Tree.Index(newParent)), mover.ix)
 	for _, id := range f.Tree.Nodes() {
 		parent, err := f.Tree.Parent(id)
 		if err != nil {
@@ -516,22 +497,4 @@ func (f *Fleet) BindVirtualTime(vnow func() float64) {
 		n.vnow = vnow
 		n.mu.Unlock()
 	}
-}
-
-// PendingAdjustments counts the fleet's in-flight adjustments: layers
-// holding a stamped escalation whose grant has not committed yet. The
-// telemetry layer samples it at window boundaries.
-func (f *Fleet) PendingAdjustments() int {
-	total := 0
-	for _, n := range f.nodes {
-		if n == nil {
-			continue
-		}
-		n.mu.Lock()
-		for _, d := range topology.Directions() {
-			total += len(n.dir(d).pendingSince)
-		}
-		n.mu.Unlock()
-	}
-	return total
 }

@@ -156,7 +156,7 @@ func (c *Chaos) Run(slotframes int) error {
 	for k := 0; k < slotframes; k++ {
 		c.cs.At(start+k*frame, func(cs *CoSim) {
 			c.availSamples++
-			if cs.Fleet.Validate() == nil {
+			if _, err := commitSchedule(cs.Fleet); err == nil {
 				c.availOK++
 			}
 		})

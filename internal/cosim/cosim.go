@@ -246,7 +246,8 @@ func New(cfg Config) (*CoSim, error) {
 	if _, err := bus.Run(); err != nil {
 		return nil, fmt.Errorf("cosim: static phase: %w", err)
 	}
-	if err := fleet.Validate(); err != nil {
+	sched, err := commitSchedule(fleet)
+	if err != nil {
 		if !cfg.TolerateStaticLoss {
 			return nil, fmt.Errorf("cosim: fleet invalid after static phase: %w", err)
 		}
@@ -266,13 +267,10 @@ func New(cfg Config) (*CoSim, error) {
 			panic(fmt.Sprintf("cosim: static phase invariant: %v", err))
 		}
 	}
-	sched, err := fleet.BuildSchedule()
-	if err != nil {
-		if staticConverged || !cfg.TolerateStaticLoss {
-			return nil, err
-		}
-		// A half-converged fleet can hold overlapping assignments; the MAC
-		// then starts on an empty schedule (no cells, nothing flows).
+	if errors.Is(err, schedule.ErrOutOfFrame) {
+		// A half-converged fleet's schedule may not even fit the frame; the
+		// MAC then starts on an empty schedule (no cells, nothing flows).
+		// Any other verdict still leaves a schedule the MAC can run.
 		sched, err = schedule.NewSchedule(cfg.Frame)
 		if err != nil {
 			return nil, err
@@ -320,6 +318,20 @@ func New(cfg Config) (*CoSim, error) {
 	return cs, nil
 }
 
+// scheduleObserver, when set, sees every schedule the harness commits or
+// samples, with its verdict. Tests hold it against the full rebuild.
+var scheduleObserver func(f *agent.Fleet, s *schedule.Schedule, verdict error)
+
+// commitSchedule patches the fleet's persistent schedule (Fleet.Schedule)
+// and shows the result to the observer, if any.
+func commitSchedule(f *agent.Fleet) (*schedule.Schedule, error) {
+	s, err := f.Schedule()
+	if scheduleObserver != nil {
+		scheduleObserver(f, s, err)
+	}
+	return s, err
+}
+
 // observe runs at the start of every slot: once a pending adjustment's
 // protocol traffic has drained, the fleet's schedule is committed into the
 // MAC effective this very slot — the earliest slot boundary after the last
@@ -329,7 +341,8 @@ func (cs *CoSim) observe() {
 		return
 	}
 	cs.pending = false
-	if err := cs.Fleet.Validate(); err != nil {
+	sched, err := commitSchedule(cs.Fleet)
+	if err != nil {
 		if !cs.tolerateLoss {
 			panic(fmt.Sprintf("cosim: fleet invalid at commit: %v", err))
 		}
@@ -342,10 +355,6 @@ func (cs *CoSim) observe() {
 		if err := invariant.CheckFleet(cs.Fleet, nil); err != nil {
 			panic(fmt.Sprintf("cosim: commit invariant: %v", err))
 		}
-	}
-	sched, err := cs.Fleet.BuildSchedule()
-	if err != nil {
-		panic(fmt.Sprintf("cosim: building committed schedule: %v", err))
 	}
 	cs.Sim.SetSchedule(sched)
 	cm := Commit{

@@ -205,14 +205,16 @@ func (s *Schedule) Links() []topology.Link {
 	for l := range s.cells {
 		out = append(out, l)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Direction != b.Direction {
-			return a.Direction < b.Direction
-		}
-		return a.Child < b.Child
-	})
+	sort.Slice(out, func(i, j int) bool { return linkLess(out[i], out[j]) })
 	return out
+}
+
+// linkLess is the Links order: direction, then child.
+func linkLess(a, b topology.Link) bool {
+	if a.Direction != b.Direction {
+		return a.Direction < b.Direction
+	}
+	return a.Child < b.Child
 }
 
 // TotalCells returns the number of (link, cell) assignments.
@@ -314,7 +316,9 @@ func (s *Schedule) HalfDuplexViolations(tree *topology.Tree) (int, error) {
 // Validate checks that every assigned cell is inside the slotframe and that
 // no two links share a cell, and (when a tree is supplied) that the schedule
 // is half-duplex clean. It is the "effectiveness" invariant of the problem
-// statement (§II-B); HARP-produced schedules must always pass.
+// statement (§II-B); HARP-produced schedules must always pass. A collision
+// names the lowest shared cell (slot, then channel), so the verdict is
+// deterministic.
 func (s *Schedule) Validate(tree *topology.Tree) error {
 	for l, cs := range s.cells {
 		for _, c := range cs {
@@ -324,9 +328,14 @@ func (s *Schedule) Validate(tree *topology.Tree) error {
 		}
 	}
 	if shared := s.CellSharers(); len(shared) > 0 {
-		for c, links := range shared {
-			return fmt.Errorf("schedule: cell %v shared by %d links %v", c, len(links), links)
+		first := true
+		var low Cell
+		for c := range shared {
+			if first || cellLess(c, low) {
+				low, first = c, false
+			}
 		}
+		return sharedCellError(low, shared[low])
 	}
 	if tree != nil {
 		v, err := s.HalfDuplexViolations(tree)
@@ -334,8 +343,52 @@ func (s *Schedule) Validate(tree *topology.Tree) error {
 			return err
 		}
 		if v > 0 {
-			return fmt.Errorf("schedule: %d half-duplex violations", v)
+			return halfDuplexError(v)
 		}
 	}
 	return nil
+}
+
+// cellLess orders cells slot-major, the order of a cell's dense index.
+func cellLess(a, b Cell) bool {
+	if a.Slot != b.Slot {
+		return a.Slot < b.Slot
+	}
+	return a.Channel < b.Channel
+}
+
+// sharedCellError and halfDuplexError are the verdicts Validate and
+// Ledger.Validate share, so the two agree message for message.
+func sharedCellError(c Cell, links []topology.Link) error {
+	return fmt.Errorf("schedule: cell %v shared by %d links %v", c, len(links), links)
+}
+
+func halfDuplexError(violations int) error {
+	return fmt.Errorf("schedule: %d half-duplex violations", violations)
+}
+
+// Equivalent reports whether two schedules hold the same (link, cell)
+// pairs with the same multiplicities, whatever the order of each link's
+// cells.
+func Equivalent(a, b *Schedule) bool {
+	if len(a.cells) != len(b.cells) {
+		return false
+	}
+	for l, ac := range a.cells {
+		bc, ok := b.cells[l]
+		if !ok || len(ac) != len(bc) {
+			return false
+		}
+		count := make(map[Cell]int, len(ac))
+		for _, c := range ac {
+			count[c]++
+		}
+		for _, c := range bc {
+			if count[c] == 0 {
+				return false
+			}
+			count[c]--
+		}
+	}
+	return true
 }

@@ -83,6 +83,10 @@ type Tree struct {
 	order []NodeID // dense index -> NodeID; None marks a freed slot
 	index map[NodeID]int32
 	free  []int32 // freed slots, reused lowest-first
+	// ids holds every node ID in ascending order, kept up to date by
+	// AddNode and RemoveLeaf (Reparent keeps the ID set), so Nodes is a
+	// copy instead of a map walk plus sort and reads stay read-only.
+	ids []NodeID
 }
 
 // Errors reported by tree mutations and queries.
@@ -100,6 +104,7 @@ func New() *Tree {
 	t.nodes[GatewayID] = &node{id: GatewayID, parent: None}
 	t.order = append(t.order, GatewayID)
 	t.index[GatewayID] = 0
+	t.ids = append(t.ids, GatewayID)
 	return t
 }
 
@@ -144,6 +149,11 @@ func (t *Tree) AddNode(id NodeID, parent NodeID) error {
 	t.nodes[id] = &node{id: id, parent: parent, depth: p.depth + 1}
 	p.children = append(p.children, id)
 	t.assignIndex(id)
+	// Generators add IDs in ascending order, so the common case appends.
+	at := sort.Search(len(t.ids), func(i int) bool { return t.ids[i] > id })
+	t.ids = append(t.ids, 0)
+	copy(t.ids[at+1:], t.ids[at:])
+	t.ids[at] = id
 	return nil
 }
 
@@ -165,6 +175,8 @@ func (t *Tree) RemoveLeaf(id NodeID) error {
 	p.children = removeID(p.children, id)
 	delete(t.nodes, id)
 	t.releaseIndex(id)
+	at := sort.Search(len(t.ids), func(i int) bool { return t.ids[i] >= id })
+	t.ids = append(t.ids[:at], t.ids[at+1:]...)
 	return nil
 }
 
@@ -365,14 +377,9 @@ func (t *Tree) SubtreeSize(id NodeID) (int, error) {
 	return len(sub), nil
 }
 
-// Nodes returns all node IDs, sorted.
+// Nodes returns all node IDs, sorted. The slice is the caller's own copy.
 func (t *Tree) Nodes() []NodeID {
-	out := make([]NodeID, 0, len(t.nodes))
-	for id := range t.nodes {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return append([]NodeID(nil), t.ids...)
 }
 
 // NonLeaves returns all nodes with at least one child, sorted. These are the
@@ -469,6 +476,14 @@ func (t *Tree) Validate() error {
 	if gi, ok := t.index[GatewayID]; !ok || gi != 0 {
 		return errors.New("topology: gateway must hold dense index 0")
 	}
+	if len(t.ids) != len(t.nodes) {
+		return fmt.Errorf("topology: %d sorted IDs of %d nodes", len(t.ids), len(t.nodes))
+	}
+	for i, id := range t.ids {
+		if _, ok := t.nodes[id]; !ok || (i > 0 && t.ids[i-1] >= id) {
+			return fmt.Errorf("topology: sorted ID list out of sync at %d", id)
+		}
+	}
 	// Reachability: every node must be reachable from the gateway.
 	sub, err := t.Subtree(GatewayID)
 	if err != nil {
@@ -496,6 +511,7 @@ func (t *Tree) Clone() *Tree {
 		order: make([]NodeID, len(t.order)),
 		index: make(map[NodeID]int32, len(t.index)),
 		free:  make([]int32, len(t.free)),
+		ids:   append([]NodeID(nil), t.ids...),
 	}
 	for id, n := range t.nodes {
 		children := make([]NodeID, len(n.children))

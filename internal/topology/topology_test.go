@@ -534,3 +534,45 @@ func TestGenerateScaleCapTooTight(t *testing.T) {
 		t.Error("impossible spec accepted")
 	}
 }
+
+// TestNodesSortedCache drives the sorted ID list through out-of-order
+// adds, removals, reparents and clones: Nodes must always equal the sorted
+// key set, and mutating its result must not reach the tree.
+func TestNodesSortedCache(t *testing.T) {
+	tr := mustTree(t, [2]NodeID{5, 0}, [2]NodeID{2, 0}, [2]NodeID{9, 5}, [2]NodeID{1, 2}, [2]NodeID{7, 9})
+	check := func(when string, want ...NodeID) {
+		t.Helper()
+		if got := tr.Nodes(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Nodes() = %v, want %v", when, got, want)
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+	check("after adds", 0, 1, 2, 5, 7, 9)
+	if err := tr.Reparent(9, 2); err != nil {
+		t.Fatal(err)
+	}
+	check("after reparent", 0, 1, 2, 5, 7, 9)
+	if err := tr.RemoveLeaf(7); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.RemoveLeaf(1); err != nil {
+		t.Fatal(err)
+	}
+	check("after removals", 0, 2, 5, 9)
+	if err := tr.AddNode(3, 5); err != nil {
+		t.Fatal(err)
+	}
+	check("after re-add", 0, 2, 3, 5, 9)
+	tr.Nodes()[0] = 42
+	check("after caller mutation", 0, 2, 3, 5, 9)
+	c := tr.Clone()
+	if err := c.AddNode(4, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("after clone mutation", 0, 2, 3, 5, 9)
+	if got := c.Nodes(); !reflect.DeepEqual(got, []NodeID{0, 2, 3, 4, 5, 9}) {
+		t.Fatalf("clone Nodes() = %v", got)
+	}
+}
