@@ -87,8 +87,8 @@ faultsoak:
 
 # Scale smoke: the 1k tier of the scale study under the race detector, at
 # two worker counts; outside the host-dependent keys the reports must be
-# identical (the sharded kernel's dispatch order is worker- and
-# shard-blind). The full 50k tier runs in the regular bench gate.
+# identical (the virtual-time kernel's dispatch order does not depend on
+# the worker count). The full 50k tier runs in the regular bench gate.
 scale-smoke:
 	$(GO) run -race ./cmd/harpbench -quick -only scale -scale-sizes 1000 -json /tmp/scale_w1.json -workers 1
 	$(GO) run -race ./cmd/harpbench -quick -only scale -scale-sizes 1000 -json /tmp/scale_w4.json -workers 4

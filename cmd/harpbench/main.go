@@ -502,7 +502,7 @@ func (r *runner) scale() (map[string]float64, error) {
 	for _, p := range res.Points {
 		key := fmt.Sprintf("scale_%d", p.Nodes)
 		// static/adjust slots, commits and event counts are virtual-time
-		// quantities: seed-deterministic at any worker or shard count. The
+		// quantities: seed-deterministic at any worker count. The
 		// _per_sec and _bytes_per_node keys are host-dependent; the gate
 		// compares them within a ratio band and the determinism CI strips
 		// them.
@@ -510,7 +510,6 @@ func (r *runner) scale() (map[string]float64, error) {
 		metrics[key+"_adjust_slots"] = p.AdjustSlots
 		metrics[key+"_commits"] = float64(p.Commits)
 		metrics[key+"_events"] = float64(p.Events)
-		metrics[key+"_shards"] = float64(p.Shards)
 		metrics[key+"_events_per_sec"] = p.EventsPerSec
 		metrics[key+"_bytes_per_node"] = p.BytesPerNode
 	}
@@ -531,7 +530,7 @@ func (r *runner) chaos() (map[string]float64, error) {
 		}
 	}
 	// All chaos keys are virtual-time quantities: seed-deterministic at any
-	// worker or shard count.
+	// worker count.
 	key := fmt.Sprintf("chaos_%d", res.Nodes)
 	return map[string]float64{
 		key + "_victims":           float64(res.Victims),
@@ -547,7 +546,6 @@ func (r *runner) chaos() (map[string]float64, error) {
 		key + "_availability":      res.Availability,
 		key + "_orphans_remaining": float64(res.OrphansRemaining),
 		key + "_keepalives":        float64(res.Keepalives),
-		key + "_shards":            float64(res.Shards),
 		key + "_adopt_p50_ms":      float64(res.DetectAdopt.Quantile(0.5)),
 		key + "_adopt_p99_ms":      float64(res.DetectAdopt.Quantile(0.99)),
 		key + "_adopt_max_ms":      float64(res.DetectAdopt.Max),

@@ -485,10 +485,15 @@ func (n *Node) start() {
 
 // onInterfaceReport stores a child's interface; when all non-leaf children
 // have reported, this node composes its own interface and forwards it (or
-// allocates, at the gateway).
+// allocates, at the gateway). A report whose owner is not a child is
+// ignored: a leaf has no maps to store it in, and at a parent it would
+// count toward the child reports the parent waits for.
 //
 //harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) onInterfaceReport(m proto.InterfaceReport) {
+	if !containsNode(n.children, m.Owner) {
+		return
+	}
 	up, okU := n.dir(topology.Uplink).childIfaces[m.Owner]
 	down, okD := n.dir(topology.Downlink).childIfaces[m.Owner]
 	if okU && okD && dirIfaceEqual(up, m.Up) && dirIfaceEqual(down, m.Down) &&

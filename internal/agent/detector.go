@@ -213,7 +213,7 @@ func (d *Detector) scheduleSweep() {
 	// Jitter the period ±10% so detector timers never beat exactly against
 	// slot boundaries; the draw comes from the detector's own stream.
 	at := d.clock.Now() + d.cfg.Interval*(0.9+0.2*d.rng.Float64())
-	d.timer = d.clock.ScheduleCancelableIn(0, at, d.sweep)
+	d.timer = d.clock.ScheduleCancelable(at, d.sweep)
 }
 
 // sweep is one detector period: probe, judge silence, recover, watchdog.

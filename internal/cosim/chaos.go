@@ -49,7 +49,7 @@ type flap struct {
 // outage from missing keepalives (Bus.Crash is silent) and heal the
 // hierarchy while the storm is still raging. Because every draw comes
 // from a named stream and every event rides the shared clock, a chaos run
-// is bit-for-bit reproducible at any worker or shard count.
+// is bit-for-bit reproducible at any worker count.
 type Chaos struct {
 	cs  *CoSim
 	det *agent.Detector

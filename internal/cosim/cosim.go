@@ -74,60 +74,6 @@ type Config struct {
 	// (transport, agents, MAC, triggers and commits) on CoSim.Tracer.
 	// Off by default: the hot paths then pay one nil check per hook.
 	Trace bool
-
-	// Shards splits the virtual-time kernel into that many independent
-	// event heaps (vclock.Clock.SetShards), with control-plane deliveries
-	// routed by gateway-child subtree and MAC slot events on shard 0.
-	// Dispatch order — and therefore every record and metric — is
-	// identical at any shard count (the kernel pops the global (time,seq)
-	// minimum across shard heads); sharding only bounds per-heap size on
-	// very large fleets. 0 or 1 keeps the single global heap.
-	Shards int
-}
-
-// AutoShards returns the natural shard count for a tree: one shard per
-// gateway-child subtree plus shard 0 for the gateway and the MAC's slot
-// events.
-func AutoShards(tree *topology.Tree) int {
-	return 1 + len(tree.Children(topology.GatewayID))
-}
-
-// subtreeShardRouter maps each node to the shard of its gateway-child
-// subtree (the gateway itself to shard 0). The routing is computed once at
-// deploy time; a later Reparent leaves a moved subtree on its old shard,
-// which is safe — shard placement never affects dispatch order, only which
-// heap holds the event.
-func subtreeShardRouter(tree *topology.Tree, shards int) func(topology.NodeID) int {
-	routing := make([]int32, tree.IndexCap())
-	roots := tree.Children(topology.GatewayID)
-	rootShard := make(map[topology.NodeID]int32, len(roots))
-	for k, r := range roots {
-		rootShard[r] = int32(1 + k%(shards-1))
-	}
-	for i := 0; i < tree.IndexCap(); i++ {
-		id := tree.NodeAt(i)
-		if id == topology.None || id == topology.GatewayID {
-			continue
-		}
-		cur := id
-		for {
-			parent, err := tree.Parent(cur)
-			if err != nil || parent == topology.None {
-				break
-			}
-			if parent == topology.GatewayID {
-				routing[i] = rootShard[cur]
-				break
-			}
-			cur = parent
-		}
-	}
-	return func(id topology.NodeID) int {
-		if i := tree.Index(id); i >= 0 && i < len(routing) {
-			return int(routing[i])
-		}
-		return 0
-	}
 }
 
 // Commit records one control-plane adjustment observed end to end: the
@@ -200,15 +146,9 @@ func New(cfg Config) (*CoSim, error) {
 		}
 	}
 	clock := vclock.New()
-	if cfg.Shards > 1 {
-		clock.SetShards(cfg.Shards)
-	}
 	bus, err := transport.NewBusOnClock(clock, cfg.Frame.Slots, cfg.Seed)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Shards > 1 {
-		bus.SetShardRouter(subtreeShardRouter(cfg.Tree, cfg.Shards))
 	}
 	var tracer *obs.Tracer
 	if cfg.Trace {

@@ -65,25 +65,17 @@ func TestStaticPhaseAndDataPlane(t *testing.T) {
 // after the protocol has committed.
 func runAdjustScenario(t *testing.T, seed int64) *CoSim {
 	t.Helper()
-	return runAdjustScenarioShards(t, seed, 0)
-}
-
-// runAdjustScenarioShards is runAdjustScenario on a sharded virtual-time
-// kernel (0 = single heap).
-func runAdjustScenarioShards(t *testing.T, seed int64, shards int) *CoSim {
-	t.Helper()
 	tree := topology.Fig1()
 	tasks, err := traffic.UniformEcho(tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cs, err := New(Config{
-		Tree:   tree,
-		Frame:  testFrame(),
-		Tasks:  tasks,
-		PDR:    1,
-		Seed:   seed,
-		Shards: shards,
+		Tree:  tree,
+		Frame: testFrame(),
+		Tasks: tasks,
+		PDR:   1,
+		Seed:  seed,
 	})
 	if err != nil {
 		t.Fatal(err)

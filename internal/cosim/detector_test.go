@@ -1,7 +1,6 @@
 package cosim
 
 import (
-	"reflect"
 	"testing"
 
 	"github.com/harpnet/harp/internal/agent"
@@ -201,9 +200,9 @@ func TestRecoverRequiresCrash(t *testing.T) {
 	}
 }
 
-// chaosScenario runs a scripted storm on the 50-node testbed tree at the
-// given shard count and returns the report plus the raw records.
-func chaosScenario(t *testing.T, shards int) (ChaosReport, []agent.DeathRecord, []agent.AdoptionRecord) {
+// chaosScenario runs a scripted storm on the 50-node testbed tree and
+// returns the report plus the raw records.
+func chaosScenario(t *testing.T) (ChaosReport, []agent.DeathRecord, []agent.AdoptionRecord) {
 	t.Helper()
 	tree := topology.Testbed50()
 	tasks, err := traffic.UniformEcho(tree, 1)
@@ -217,7 +216,6 @@ func chaosScenario(t *testing.T, shards int) (ChaosReport, []agent.DeathRecord, 
 		PDR:      1,
 		Seed:     7,
 		Reliable: true,
-		Shards:   shards,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +272,7 @@ func chaosScenario(t *testing.T, shards int) (ChaosReport, []agent.DeathRecord, 
 // over the 50-node testbed: every surviving node must be re-homed, the
 // final schedule valid, and every permanent victim declared dead.
 func TestChaosStormHealsCompletely(t *testing.T) {
-	rep, deaths, _ := chaosScenario(t, 0)
+	rep, deaths, _ := chaosScenario(t)
 	if rep.Victims == 0 || rep.PermanentVictims == 0 {
 		t.Fatalf("storm drew no victims: %+v", rep)
 	}
@@ -296,23 +294,5 @@ func TestChaosStormHealsCompletely(t *testing.T) {
 	}
 	if len(deaths) != rep.Deaths {
 		t.Errorf("report deaths %d != records %d", rep.Deaths, len(deaths))
-	}
-}
-
-// TestChaosShardEquivalence re-runs the identical storm on a sharded
-// virtual-time kernel: every record and the whole report must be
-// bit-identical — sharding only changes which heap holds an event, never
-// dispatch order.
-func TestChaosShardEquivalence(t *testing.T) {
-	rep1, deaths1, adopt1 := chaosScenario(t, 0)
-	repN, deathsN, adoptN := chaosScenario(t, AutoShards(topology.Testbed50()))
-	if !reflect.DeepEqual(rep1, repN) {
-		t.Errorf("reports differ across shard counts:\n1 shard: %+v\nsharded: %+v", rep1, repN)
-	}
-	if !reflect.DeepEqual(deaths1, deathsN) {
-		t.Errorf("death records differ across shard counts")
-	}
-	if !reflect.DeepEqual(adopt1, adoptN) {
-		t.Errorf("adoption records differ across shard counts")
 	}
 }

@@ -71,10 +71,9 @@ func DefaultChaosExp() ChaosExpConfig {
 }
 
 // ChaosExpResult is the storm's outcome. Every field is a virtual-time
-// quantity: seed-deterministic at any worker or shard count.
+// quantity: seed-deterministic at any worker count.
 type ChaosExpResult struct {
-	Nodes  int
-	Shards int
+	Nodes int
 	cosim.ChaosReport
 	// Keepalives is the detector's total background probe count — the
 	// price of the failure detector in control messages.
@@ -118,7 +117,6 @@ func ChaosExp(cfg ChaosExpConfig) (ChaosExpResult, error) {
 		}
 	}
 
-	shards := cosim.AutoShards(tree)
 	cs, err := cosim.New(cosim.Config{
 		Tree:     tree,
 		Frame:    frame,
@@ -127,7 +125,6 @@ func ChaosExp(cfg ChaosExpConfig) (ChaosExpResult, error) {
 		Seed:     cfg.Seed,
 		RootGap:  2,
 		Reliable: true,
-		Shards:   shards,
 		Trace:    cfg.Trace,
 	})
 	if err != nil {
@@ -186,7 +183,6 @@ func ChaosExp(cfg ChaosExpConfig) (ChaosExpResult, error) {
 
 	res := ChaosExpResult{
 		Nodes:       cfg.Nodes,
-		Shards:      shards,
 		ChaosReport: ch.Report(),
 		Keepalives:  int(keepalives),
 		Trace:       cs.Tracer.Events(),
@@ -202,7 +198,7 @@ func ChaosExp(cfg ChaosExpConfig) (ChaosExpResult, error) {
 		return ChaosExpResult{}, fmt.Errorf("chaos: %d orphans remain after the heal", res.OrphansRemaining)
 	}
 	table := stats.NewTable(
-		fmt.Sprintf("Self-healing under chaos — %d nodes, %d shards", res.Nodes, res.Shards),
+		fmt.Sprintf("Self-healing under chaos — %d nodes", res.Nodes),
 		"victims", "permanent", "deaths", "adoptions", "readmits",
 		"detect p50 (sf)", "detect max (sf)", "rehome max (sf)", "availability", "orphans left")
 	table.AddRow(res.Victims, res.PermanentVictims, res.Deaths, res.Adoptions,

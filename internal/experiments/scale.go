@@ -16,7 +16,7 @@ import (
 // ScaleConfig parameterises the scale study: fleets far beyond the paper's
 // 50-node testbed (10k–100k class networks) run the full distributed
 // protocol — static allocation, then rounds of concurrent subtree
-// adjustments — on the sharded virtual-time kernel, measuring how the
+// adjustments — on the shared virtual-time kernel, measuring how the
 // control plane's convergence, message cost and memory footprint grow
 // with fleet size.
 type ScaleConfig struct {
@@ -68,8 +68,6 @@ type ScalePoint struct {
 	// BytesPerNode is the heap growth of building the co-simulation
 	// (fleet, transport, MAC), per node.
 	BytesPerNode float64
-	// Shards is the kernel shard count the run used.
-	Shards int
 }
 
 // ScaleResult summarises the study.
@@ -92,10 +90,10 @@ func Scale(cfg ScaleConfig) (ScaleResult, error) {
 		}
 		res.Points = append(res.Points, p)
 	}
-	table := stats.NewTable("Control-plane scale — sharded kernel, sparse demand",
-		"nodes", "shards", "static slots", "adjust slots", "commits", "events", "events/s", "bytes/node")
+	table := stats.NewTable("Control-plane scale — sparse demand",
+		"nodes", "static slots", "adjust slots", "commits", "events", "events/s", "bytes/node")
 	for _, p := range res.Points {
-		table.AddRow(p.Nodes, p.Shards, p.StaticSlots, p.AdjustSlots, p.Commits,
+		table.AddRow(p.Nodes, p.StaticSlots, p.AdjustSlots, p.Commits,
 			p.Events, p.EventsPerSec, p.BytesPerNode)
 	}
 	res.Table = table
@@ -140,7 +138,6 @@ func scaleRun(cfg ScaleConfig, size int) (ScalePoint, error) {
 		}
 	}
 
-	shards := cosim.AutoShards(tree)
 	start := time.Now() //harplint:allow determinism wall-clock throughput is the measurement
 	runtime.GC()
 	var before, after runtime.MemStats
@@ -152,7 +149,6 @@ func scaleRun(cfg ScaleConfig, size int) (ScalePoint, error) {
 		PDR:     1,
 		Seed:    cfg.Seed,
 		RootGap: 2,
-		Shards:  shards,
 	})
 	if err != nil {
 		return ScalePoint{}, err
@@ -161,7 +157,6 @@ func scaleRun(cfg ScaleConfig, size int) (ScalePoint, error) {
 	runtime.ReadMemStats(&after)
 	point := ScalePoint{
 		Nodes:        size,
-		Shards:       shards,
 		StaticSlots:  cs.Clock.Now(),
 		BytesPerNode: float64(after.HeapAlloc-before.HeapAlloc) / float64(size),
 	}

@@ -9,7 +9,7 @@ import (
 // fixed-width virtual-time windowed series. Both are integer-only —
 // observations, bucket counts and window sums are int64 — so two runs
 // with the same seeds produce bit-identical distributions at any
-// -workers or shard count, and quantiles derived from them are exact,
+// -workers count, and quantiles derived from them are exact,
 // not floating-point folds whose value depends on observation order.
 //
 // Latency observations are made in milli-slots: the virtual-time delta

@@ -228,6 +228,15 @@ func TestEvalHealth(t *testing.T) {
 	if !strings.Contains(sb.String(), "health:") {
 		t.Errorf("WriteText output unexpected: %q", sb.String())
 	}
+	// A zero bound is unbounded and prints so; a set bound prints its
+	// value.
+	sb.Reset()
+	if err := EvalHealth(r, true, 0, budgets).WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := "[p50<=unbounded p99<=unbounded max<=2000]"; !strings.Contains(sb.String(), want) {
+		t.Errorf("WriteText output %q lacks %q", sb.String(), want)
+	}
 }
 
 // TestWritePrometheusDeterministic pins the exposition: identical

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"strconv"
 )
 
 // SLO/health evaluation: fold the registry's latency distributions into
@@ -111,11 +112,19 @@ func (rep HealthReport) WriteText(w io.Writer) error {
 		if !c.OK {
 			status = "BREACH"
 		}
-		if _, err := fmt.Fprintf(w, "  %-32s n=%-6d p50=%-8d p99=%-8d max=%-8d [p50<=%d p99<=%d max<=%d] %s\n",
+		if _, err := fmt.Fprintf(w, "  %-32s n=%-6d p50=%-8d p99=%-8d max=%-8d [p50<=%s p99<=%s max<=%s] %s\n",
 			c.Kind, c.Count, c.P50, c.P99, c.Max,
-			c.Budget.P50, c.Budget.P99, c.Budget.Max, status); err != nil {
+			bound(c.Budget.P50), bound(c.Budget.P99), bound(c.Budget.Max), status); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// bound renders one budget bound; zero means unbounded.
+func bound(v int64) string {
+	if v == 0 {
+		return "unbounded"
+	}
+	return strconv.FormatInt(v, 10)
 }

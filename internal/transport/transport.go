@@ -214,16 +214,10 @@ type Bus struct {
 	// envelope type comment.
 	envFree []*envelope
 	// deliverPrimary/deliverDup are the prebound delivery callbacks passed
-	// to vclock.ScheduleArgIn, bound once here so scheduling a delivery
+	// to vclock.ScheduleArg, bound once here so scheduling a delivery
 	// allocates no closure.
 	deliverPrimary func(any)
 	deliverDup     func(any)
-	// shardRouter, if set, picks the clock shard a delivery to a node is
-	// scheduled on (the co-simulation routes by root subtree). Routing
-	// never changes the dispatch order — vclock's global seq keeps the
-	// (time, seq) pop sequence shard-blind — only which heap holds the
-	// event.
-	shardRouter func(topology.NodeID) int
 
 	// slotsPerHop is the slotframe length; per-hop latency is sampled
 	// uniformly in (0, slotsPerHop] — the wait for the sender's next
@@ -346,18 +340,11 @@ func NewBusOnClock(c *vclock.Clock, slotframeSlots int, seed int64) (*Bus, error
 		lastDelivery: make(map[uint64]float64),
 	}
 	// Bound once: scheduling a delivery passes these through
-	// vclock.ScheduleArgIn, so the per-message path allocates no closure.
+	// vclock.ScheduleArg, so the per-message path allocates no closure.
 	b.deliverPrimary = func(x any) { b.deliver(x.(*envelope), true) }
 	b.deliverDup = func(x any) { b.deliver(x.(*envelope), false) }
 	return b, nil
 }
-
-// SetShardRouter installs the clock-shard routing function for deliveries
-// (nil restores everything-on-shard-0). The co-simulation routes each
-// receiver's deliveries to its root subtree's shard; because vclock's
-// dispatch order is shard-blind, any routing — including none — replays
-// the same history.
-func (b *Bus) SetShardRouter(fn func(topology.NodeID) int) { b.shardRouter = fn }
 
 // SetTracer attaches a protocol-event tracer (nil detaches). The tracer
 // must be bound to the bus's clock so event timestamps share its virtual
@@ -623,14 +610,6 @@ func (b *Bus) retxStream() *rand.Rand {
 	return b.bgRNG
 }
 
-// shardOf resolves the clock shard deliveries to a node ride on.
-func (b *Bus) shardOf(to topology.NodeID) int {
-	if b.shardRouter == nil {
-		return 0
-	}
-	return b.shardRouter(to)
-}
-
 // transmit queues one copy of an envelope with a management-cell latency
 // drawn from r, preserving per-pair FIFO. The scheduled copy holds one
 // envelope reference, released when deliver finishes with it.
@@ -643,7 +622,7 @@ func (b *Bus) transmit(e *envelope, r *rand.Rand) {
 	}
 	b.lastDelivery[pair] = deliverAt
 	retainEnv(e)
-	b.clock.ScheduleArgIn(b.shardOf(e.to), deliverAt, b.deliverPrimary, e)
+	b.clock.ScheduleArg(deliverAt, b.deliverPrimary, e)
 }
 
 // startExchange begins the confirmable exchange for e on pair: transmit
@@ -653,7 +632,7 @@ func (b *Bus) startExchange(pair uint64, e *envelope) {
 	bx := &busExchange{env: e, ex: b.params.NewExchange(e.mid, b.clock.Now(), jitter), start: b.clock.Now()}
 	b.outstanding[pair] = bx
 	b.transmit(e, b.rng)
-	bx.timer = b.clock.ScheduleCancelableIn(b.shardOf(e.to), bx.ex.NextAt, func() { b.onRetxTimer(pair, bx) })
+	bx.timer = b.clock.ScheduleCancelable(bx.ex.NextAt, func() { b.onRetxTimer(pair, bx) })
 }
 
 // onRetxTimer is the clock event of an exchange's retransmission timer.
@@ -668,7 +647,7 @@ func (b *Bus) onRetxTimer(pair uint64, bx *busExchange) {
 				WithParent(bx.env.span))
 		}
 		b.transmit(bx.env, b.retxRNG)
-		bx.timer = b.clock.ScheduleCancelableIn(b.shardOf(bx.env.to), bx.ex.NextAt, func() { b.onRetxTimer(pair, bx) })
+		bx.timer = b.clock.ScheduleCancelable(bx.ex.NextAt, func() { b.onRetxTimer(pair, bx) })
 		return
 	}
 	b.metrics.Inc(obs.Key(obs.MetricGiveUps))
@@ -788,7 +767,7 @@ func (b *Bus) deliver(e *envelope, primary bool) {
 			}
 			delay := b.faultRNG.Float64() * float64(b.slotsPerHop)
 			retainEnv(e)
-			b.clock.ScheduleArgIn(b.shardOf(e.to), b.clock.Now()+delay, b.deliverDup, e)
+			b.clock.ScheduleArg(b.clock.Now()+delay, b.deliverDup, e)
 		}
 	}
 	msg, err := coap.Decode(e.wire)

@@ -1,21 +1,12 @@
 // Package vclock is the shared virtual-time event scheduler that the
 // control plane (transport.Bus carrying the HARP protocol) and the data
 // plane (the slot-accurate MAC in internal/sim) run on. One Clock holds
-// min-heaps of (time, seq) events: the transport schedules message
+// one min-heap of (time, seq) events: the transport schedules message
 // deliveries at fractional slot times (the wait for a management cell),
 // the simulator schedules one event per slot boundary, and popping the
 // earliest event interleaves the two planes exactly as the testbed's
 // single radio timeline does — management traffic and data traffic
 // contending for the same slotframe (§VI-A/§VI-C).
-//
-// The heap is sharded for scale: events live in per-shard min-heaps
-// (callers route related work — e.g. one root subtree — to one shard) and
-// each Step pops the globally earliest head across shards. Because every
-// event still draws its seq from one global counter and (at, seq) is a
-// total order with unique seq, the pop sequence is identical for ANY shard
-// count — a 1-shard clock is the degenerate case and N shards replay the
-// same history byte for byte. Sharding buys smaller heaps (cheaper
-// sift-up/down at 100k+ pending events), not a different schedule.
 //
 // Determinism is the package's contract: events at equal times run in
 // schedule order (the seq tie-break), handlers may schedule further
@@ -34,7 +25,7 @@ import (
 // (removal from the middle of a heap is O(n)) but carries nil callbacks;
 // the pop path discards it without running anything or advancing time.
 // poolable marks events eligible for the clock's free list: only plain
-// Schedule/ScheduleArgIn events, never ScheduleCancelable ones — a Handle
+// Schedule/ScheduleArg events, never ScheduleCancelable ones — a Handle
 // outlives its event's dispatch, and recycling the event under a live
 // Handle would let a late Cancel withdraw an unrelated future event.
 //
@@ -61,8 +52,7 @@ func (e *event) live() bool { return e.fn != nil || e.afn != nil }
 type eventHeap []*event
 
 // before is the heap order: earliest time first, schedule order (seq)
-// breaking ties. seq is globally unique, so this is a total order — which
-// is what makes the sharded pop sequence independent of the shard count.
+// breaking ties. seq is unique, so this is a total order.
 func (e *event) before(o *event) bool {
 	if e.at != o.at {
 		return e.at < o.at
@@ -121,22 +111,13 @@ func heapPop(h *eventHeap) *event {
 	return top
 }
 
-// shard is one independent min-heap plus its share of the lazy-cancel
-// bookkeeping, so a shard whose head is cancelled can be pruned without
-// touching the others.
-type shard struct {
-	heap      eventHeap
-	cancelled int // cancelled events still occupying slots in this shard
-}
-
 // Clock is a deterministic virtual-time scheduler. Time is measured in
 // slots (fractional between slot boundaries, as transport latencies are).
 type Clock struct {
 	now        float64
 	seq        uint64
-	shards     []shard
-	queued     int    // events across all shards, cancelled included
-	cancelled  int    // cancelled events across all shards
+	heap       eventHeap
+	cancelled  int    // cancelled events still occupying heap slots
 	dispatched uint64 // events actually run
 	rngs       map[Stream]*rand.Rand
 	// stepHook, if set, observes every dispatch: it runs after Now has
@@ -146,8 +127,8 @@ type Clock struct {
 	// windowHook, if set, fires once whenever a dispatch crosses into a
 	// new fixed-width virtual-time window (window = floor(now/width));
 	// the telemetry layer samples gauges and publishes inspection
-	// snapshots from it. Dispatch order is worker- and shard-blind, so
-	// the firing sequence is a pure function of the seeds.
+	// snapshots from it. Dispatch order is a pure function of the seeds,
+	// so the firing sequence is too.
 	windowHook  func(window int64, at float64)
 	windowWidth float64
 	window      int64 // highest window index the hook has fired for
@@ -161,7 +142,6 @@ type Clock struct {
 type Handle struct {
 	c  *Clock
 	ev *event
-	si int32 // shard holding the event
 }
 
 // Cancel withdraws the event. The heap slot is reclaimed lazily when the
@@ -175,32 +155,11 @@ func (h *Handle) Cancel() {
 	h.ev.afn = nil
 	h.ev.arg = nil
 	h.c.cancelled++
-	h.c.shards[h.si].cancelled++
 }
 
-// New returns a clock at time zero with no pending events and a single
-// shard.
+// New returns a clock at time zero with no pending events.
 func New() *Clock {
-	return &Clock{rngs: make(map[Stream]*rand.Rand), shards: make([]shard, 1)}
-}
-
-// NumShards returns the current shard count (>= 1).
-func (c *Clock) NumShards() int { return len(c.shards) }
-
-// SetShards resizes the clock to n per-shard heaps (n < 1 is clamped to
-// 1). It may only be called while the clock is idle — no pending events —
-// because resizing would otherwise have to rehash queued events across
-// shards; callers set the shard count once at topology-build time. The
-// shard count never changes the dispatch order (see the package comment),
-// only the heap sizes.
-func (c *Clock) SetShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if c.queued != 0 {
-		panic(fmt.Sprintf("vclock: SetShards(%d) with %d events queued", n, c.queued))
-	}
-	c.shards = make([]shard, n)
+	return &Clock{rngs: make(map[Stream]*rand.Rand)}
 }
 
 // Now returns the current virtual time in slots.
@@ -208,20 +167,20 @@ func (c *Clock) Now() float64 { return c.now }
 
 // Pending returns the number of scheduled, not-yet-run events (cancelled
 // events are excluded).
-func (c *Clock) Pending() int { return c.queued - c.cancelled }
+func (c *Clock) Pending() int { return len(c.heap) - c.cancelled }
 
 // Dispatched returns the number of events run since the clock was built —
 // the numerator of the scale experiments' events/sec throughput metric.
 func (c *Clock) Dispatched() uint64 { return c.dispatched }
 
-// pruneShard discards cancelled events sitting at the top of shard si.
-func (c *Clock) pruneShard(si int) {
-	s := &c.shards[si]
-	for len(s.heap) > 0 && !s.heap[0].live() {
-		e := heapPop(&s.heap)
-		s.cancelled--
+// prune discards cancelled events sitting at the top of the heap, so the
+// head (if any) is the earliest live event.
+//
+//harplint:hotpath
+func (c *Clock) prune() {
+	for len(c.heap) > 0 && !c.heap[0].live() {
+		e := heapPop(&c.heap)
 		c.cancelled--
-		c.queued--
 		if e.poolable {
 			e.poolable = false
 			c.free = append(c.free, e)
@@ -229,43 +188,13 @@ func (c *Clock) pruneShard(si int) {
 	}
 }
 
-// minShard prunes every shard head and returns the index of the shard
-// whose head is the globally earliest (at, seq), or -1 when all shards are
-// empty. This linear cross-shard merge is the entire scheduling overhead
-// of sharding; shard counts are small (one per root subtree), so a scan
-// beats maintaining a second heap of heads.
-//
-//harplint:hotpath
-func (c *Clock) minShard() int {
-	best := -1
-	for si := range c.shards {
-		c.pruneShard(si)
-		if len(c.shards[si].heap) == 0 {
-			continue
-		}
-		if best < 0 || c.shards[si].heap[0].before(c.shards[best].heap[0]) {
-			best = si
-		}
-	}
-	return best
-}
-
 // NextAt returns the time of the earliest pending event.
 func (c *Clock) NextAt() (float64, bool) {
-	si := c.minShard()
-	if si < 0 {
+	c.prune()
+	if len(c.heap) == 0 {
 		return 0, false
 	}
-	return c.shards[si].heap[0].at, true
-}
-
-// clampShard folds an out-of-range shard index onto shard 0, so callers
-// may route speculatively (e.g. by subtree) without tracking resizes.
-func (c *Clock) clampShard(si int) int {
-	if si < 0 || si >= len(c.shards) {
-		return 0
-	}
-	return si
+	return c.heap[0].at, true
 }
 
 // take returns a recycled event or a fresh one.
@@ -278,45 +207,40 @@ func (c *Clock) take() *event {
 	return &event{} //harplint:allow hotpath freelist miss is the cold warm-up path; steady state recycles
 }
 
-// Schedule queues fn at virtual time at, on shard 0. Times in the past are
-// clamped to Now (the event runs next, after already-queued same-time
-// events — seq keeps FIFO order). Safe to call from inside a running
-// event.
-func (c *Clock) Schedule(at float64, fn func()) { c.ScheduleIn(0, at, fn) }
-
-// ScheduleIn queues fn at virtual time at on the given shard. The shard
-// only picks which heap holds the event — dispatch order is shard-blind —
-// so callers route by locality (one root subtree per shard) to keep the
-// heaps small. Out-of-range shards fold onto shard 0.
-func (c *Clock) ScheduleIn(si int, at float64, fn func()) {
-	if at < c.now {
-		at = c.now
-	}
-	c.seq++
-	e := c.take()
-	e.at, e.seq, e.fn = at, c.seq, fn
-	e.poolable = true
-	heapPush(&c.shards[c.clampShard(si)].heap, e)
-	c.queued++
+// Schedule queues fn at virtual time at. Times in the past are clamped to
+// Now (the event runs next, after already-queued same-time events — seq
+// keeps FIFO order). Safe to call from inside a running event.
+func (c *Clock) Schedule(at float64, fn func()) {
+	e := c.push(at)
+	e.fn = fn
 }
 
-// ScheduleArgIn queues prebound(arg) at virtual time at on the given
-// shard. It is the allocation-free variant of ScheduleIn: the caller keeps
-// one prebound func(any) value for the lifetime of the system and passes
-// per-event state through arg, so nothing escapes per call and the pooled
-// event is the only storage.
+// ScheduleArg queues prebound(arg) at virtual time at. It is the
+// allocation-free variant of Schedule: the caller keeps one prebound
+// func(any) value for the lifetime of the system and passes per-event
+// state through arg, so nothing escapes per call and the pooled event is
+// the only storage.
 //
 //harplint:hotpath
-func (c *Clock) ScheduleArgIn(si int, at float64, prebound func(any), arg any) {
+func (c *Clock) ScheduleArg(at float64, prebound func(any), arg any) {
+	e := c.push(at)
+	e.afn, e.arg = prebound, arg
+}
+
+// push queues a pooled event at at (clamped to Now) with the next seq and
+// returns it for the caller to attach its callback.
+//
+//harplint:hotpath
+func (c *Clock) push(at float64) *event {
 	if at < c.now {
 		at = c.now
 	}
 	c.seq++
 	e := c.take()
-	e.at, e.seq, e.afn, e.arg = at, c.seq, prebound, arg
+	e.at, e.seq = at, c.seq
 	e.poolable = true
-	heapPush(&c.shards[c.clampShard(si)].heap, e)
-	c.queued++
+	heapPush(&c.heap, e)
+	return e
 }
 
 // ScheduleCancelable queues fn like Schedule and returns a Handle that can
@@ -325,31 +249,23 @@ func (c *Clock) ScheduleArgIn(si int, at float64, prebound func(any), arg any) {
 // resolved exchanges leave no stale events dragging the virtual time
 // forward.
 func (c *Clock) ScheduleCancelable(at float64, fn func()) *Handle {
-	return c.ScheduleCancelableIn(0, at, fn)
-}
-
-// ScheduleCancelableIn is ScheduleCancelable on an explicit shard.
-func (c *Clock) ScheduleCancelableIn(si int, at float64, fn func()) *Handle {
 	if at < c.now {
 		at = c.now
 	}
 	c.seq++
 	e := &event{at: at, seq: c.seq, fn: fn}
-	si = c.clampShard(si)
-	heapPush(&c.shards[si].heap, e)
-	c.queued++
-	return &Handle{c: c, ev: e, si: int32(si)}
+	heapPush(&c.heap, e)
+	return &Handle{c: c, ev: e}
 }
 
 // Step runs the earliest pending event, advancing Now to its time.
 // Returns false when no event is pending.
 func (c *Clock) Step() bool {
-	si := c.minShard()
-	if si < 0 {
+	c.prune()
+	if len(c.heap) == 0 {
 		return false
 	}
-	e := heapPop(&c.shards[si].heap)
-	c.queued--
+	e := heapPop(&c.heap)
 	c.now = e.at
 	fn, afn, arg := e.fn, e.afn, e.arg
 	seq := e.seq
@@ -393,8 +309,7 @@ func (c *Clock) Run() float64 {
 // or before t by running events are run too.
 func (c *Clock) RunUntil(t float64) {
 	for {
-		si := c.minShard()
-		if si < 0 || c.shards[si].heap[0].at > t {
+		if at, ok := c.NextAt(); !ok || at > t {
 			break
 		}
 		c.Step()
@@ -494,5 +409,5 @@ func (c *Clock) RNG(name Stream, seed int64) *rand.Rand {
 
 // String renders the clock state for debugging.
 func (c *Clock) String() string {
-	return fmt.Sprintf("vclock{now=%.4f pending=%d shards=%d}", c.now, c.Pending(), len(c.shards))
+	return fmt.Sprintf("vclock{now=%.4f pending=%d}", c.now, c.Pending())
 }

@@ -193,119 +193,93 @@ type record struct {
 	tag int
 }
 
-// driveShardedScenario exercises scheduling from inside events, same-time
-// ties, cancellations and the arg-passing path on a clock with n shards,
-// routing each event to a shard derived from its tag. The dispatch trace
-// must be identical for every n.
-func driveShardedScenario(n int) []record {
+// TestDispatchOrderTrace exercises scheduling from inside events,
+// same-time ties, cancellations and the arg-passing path, and checks the
+// dispatch history against an explicit (time, tag) trace: earliest time
+// first, schedule order breaking ties, cancelled events never run.
+func TestDispatchOrderTrace(t *testing.T) {
 	c := New()
-	c.SetShards(n)
-	route := func(tag int) int { return tag % n }
 	var got []record
 	obs := func(tag int) func() {
 		return func() { got = append(got, record{at: c.Now(), tag: tag}) }
 	}
 	argObs := func(x any) { got = append(got, record{at: c.Now(), tag: x.(int)}) }
 	for tag := 0; tag < 24; tag++ {
-		c.ScheduleIn(route(tag), float64(tag%7)+0.25, obs(tag))
+		c.Schedule(float64(tag%7)+0.25, obs(tag))
 	}
-	// Same-time burst across shards: seq must serialise them globally.
+	// Same-time burst on the arg path: seq serialises it.
 	for tag := 100; tag < 112; tag++ {
-		c.ScheduleArgIn(route(tag), 3.0, argObs, tag)
+		c.ScheduleArg(3.0, argObs, tag)
 	}
-	// Cancel a few spread across shards.
+	// Cancel every other one of a same-time group.
 	var hs []*Handle
 	for tag := 200; tag < 208; tag++ {
-		hs = append(hs, c.ScheduleCancelableIn(route(tag), 5.5, obs(tag)))
+		hs = append(hs, c.ScheduleCancelable(5.5, obs(tag)))
 	}
 	for i, h := range hs {
 		if i%2 == 0 {
 			h.Cancel()
 		}
 	}
-	// Events scheduling further events, hopping shards.
-	c.ScheduleIn(route(1), 1.0, func() {
-		c.ScheduleIn(route(2), 1.0, obs(300)) // same time as Now: runs after queued 1.0 ties
-		c.ScheduleIn(route(3), 9.0, obs(301))
+	// An event scheduling further events, one at its own time: that one
+	// runs after the same-time event already queued behind it (302).
+	c.Schedule(1.0, func() {
+		c.Schedule(1.0, obs(300))
+		c.Schedule(9.0, obs(301))
 	})
+	c.Schedule(1.0, obs(302))
 	c.Run()
-	return got
-}
 
-func TestShardedDispatchMatchesSerial(t *testing.T) {
-	want := driveShardedScenario(1)
-	for _, n := range []int{2, 3, 5, 8} {
-		got := driveShardedScenario(n)
-		if len(got) != len(want) {
-			t.Fatalf("%d shards: %d dispatches, want %d", n, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%d shards: dispatch %d = %+v, want %+v", n, i, got[i], want[i])
-			}
+	var want []record
+	add := func(at float64, tags ...int) {
+		for _, tag := range tags {
+			want = append(want, record{at: at, tag: tag})
 		}
 	}
-}
-
-func TestSetShardsGuards(t *testing.T) {
-	c := New()
-	if c.NumShards() != 1 {
-		t.Fatalf("fresh clock shards = %d, want 1", c.NumShards())
+	add(0.25, 0, 7, 14, 21)
+	add(1.0, 302, 300)
+	add(1.25, 1, 8, 15, 22)
+	add(2.25, 2, 9, 16, 23)
+	add(3.0, 100, 101, 102, 103, 104, 105, 106, 107, 108, 109, 110, 111)
+	add(3.25, 3, 10, 17)
+	add(4.25, 4, 11, 18)
+	add(5.25, 5, 12, 19)
+	add(5.5, 201, 203, 205, 207)
+	add(6.25, 6, 13, 20)
+	add(9.0, 301)
+	if len(got) != len(want) {
+		t.Fatalf("%d dispatches, want %d: %+v", len(got), len(want), got)
 	}
-	c.SetShards(0)
-	if c.NumShards() != 1 {
-		t.Fatalf("SetShards(0) gave %d shards, want clamp to 1", c.NumShards())
-	}
-	c.SetShards(4)
-	if c.NumShards() != 4 {
-		t.Fatalf("shards = %d, want 4", c.NumShards())
-	}
-	c.Schedule(1, func() {})
-	defer func() {
-		if recover() == nil {
-			t.Error("SetShards with queued events must panic")
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("dispatch %d = %+v, want %+v", i, got[i], want[i])
 		}
-	}()
-	c.SetShards(2)
-}
-
-func TestShardIndexClamped(t *testing.T) {
-	c := New()
-	c.SetShards(2)
-	var got []int
-	c.ScheduleIn(-3, 1, func() { got = append(got, 1) })
-	c.ScheduleIn(99, 2, func() { got = append(got, 2) })
-	c.ScheduleCancelableIn(7, 3, func() { got = append(got, 3) })
-	c.Run()
-	if len(got) != 3 {
-		t.Fatalf("ran %d events, want 3 (out-of-range shards fold to 0)", len(got))
 	}
 }
 
 func TestDispatchedCounter(t *testing.T) {
 	c := New()
-	c.SetShards(2)
-	h := c.ScheduleCancelableIn(1, 1, func() {})
+	h := c.ScheduleCancelable(1, func() {})
 	h.Cancel()
-	c.ScheduleIn(0, 2, func() {})
-	c.ScheduleArgIn(1, 3, func(any) {}, nil)
+	c.Schedule(2, func() {})
+	c.ScheduleArg(3, func(any) {}, nil)
 	c.Run()
 	if c.Dispatched() != 2 {
 		t.Fatalf("Dispatched = %d, want 2 (cancelled events don't count)", c.Dispatched())
 	}
 }
 
-func TestScheduleArgInReusesPool(t *testing.T) {
+func TestScheduleArgReusesPool(t *testing.T) {
 	c := New()
 	fn := func(any) {}
 	// Warm the pool, then steady-state schedule/step cycles must not allocate.
-	c.ScheduleArgIn(0, 1, fn, 7)
+	c.ScheduleArg(1, fn, 7)
 	c.Step()
 	allocs := testing.AllocsPerRun(100, func() {
-		c.ScheduleArgIn(0, c.Now()+1, fn, 7)
+		c.ScheduleArg(c.Now()+1, fn, 7)
 		c.Step()
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state ScheduleArgIn/Step allocates %.1f per cycle, want 0", allocs)
+		t.Fatalf("steady-state ScheduleArg/Step allocates %.1f per cycle, want 0", allocs)
 	}
 }
