@@ -21,10 +21,11 @@ test:
 # The agent fleet is the concurrency hot spot; the race detector plus the
 # harpdebug invariant hooks catch what plain tests miss. Under harpdebug
 # every commit also checks the fleet's persistent schedule against a full
-# rebuild, so the experiments' commits run through that oracle too.
+# rebuild and every MAC patch against a full install, so the experiments'
+# commits run through both oracles too.
 race:
 	$(GO) test -race ./...
-	$(GO) test -tags harpdebug ./internal/core/ ./internal/agent/ ./internal/invariant/ ./internal/transport/ ./internal/cosim/
+	$(GO) test -tags harpdebug ./internal/core/ ./internal/agent/ ./internal/invariant/ ./internal/transport/ ./internal/cosim/ ./internal/sim/ ./internal/schedule/
 	$(GO) test -tags harpdebug -run 'Fig10|Chaos|Loss|Scale' ./internal/experiments/
 
 # The baseline is committed and empty; any entry added there must still

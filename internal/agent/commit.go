@@ -120,6 +120,22 @@ func (f *Fleet) Schedule() (*schedule.Schedule, error) {
 	return c.g.Schedule(), verdict
 }
 
+// TakeScheduleChanges returns the links whose cells or endpoints the
+// persistent schedule changed since the last call, and starts the next
+// record in dst's storage (schedule.Ledger.TakeChanged). A MAC that holds
+// the schedule as of the last call patches exactly these links. Schedule
+// calls that install nothing (a sample, a refused commit) only add to the
+// record.
+func (f *Fleet) TakeScheduleChanges(dst []topology.Link) []topology.Link {
+	c := &f.commit
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.g == nil {
+		return dst[:0]
+	}
+	return c.g.TakeChanged(dst)
+}
+
 // reparent moves node under newParent in the fleet's tree, through the
 // ledger once it exists so the node's links are re-booked under their new
 // endpoints.

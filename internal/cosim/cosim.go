@@ -128,6 +128,10 @@ type CoSim struct {
 	// adjustment can die with a give-up, and the commit then records the
 	// (still valid) pre-adjustment schedule.
 	tolerateLoss bool
+	// changed is the link delta of the commit in progress, taken from the
+	// fleet's persistent schedule; its storage alternates with the
+	// fleet's record.
+	changed []topology.Link
 }
 
 // New deploys the fleet, runs the static allocation phase to completion on
@@ -207,7 +211,8 @@ func New(cfg Config) (*CoSim, error) {
 			panic(fmt.Sprintf("cosim: static phase invariant: %v", err))
 		}
 	}
-	if errors.Is(err, schedule.ErrOutOfFrame) {
+	outOfFrame := errors.Is(err, schedule.ErrOutOfFrame)
+	if outOfFrame {
 		// A half-converged fleet's schedule may not even fit the frame; the
 		// MAC then starts on an empty schedule (no cells, nothing flows).
 		// Any other verdict still leaves a schedule the MAC can run.
@@ -231,6 +236,13 @@ func New(cfg Config) (*CoSim, error) {
 	mac.SetTracer(tracer)
 	mac.SetMetrics(bus.Metrics())
 	mac.SetSchedule(sched)
+	if !outOfFrame {
+		// The MAC holds the fleet's schedule: commits from here on patch
+		// it from the fleet's link delta. After the empty fallback the
+		// record is kept, since it names every link the fleet's schedule
+		// holds, so the first commit installs all of them.
+		fleet.TakeScheduleChanges(nil)
+	}
 	if err := mac.BindClock(clock); err != nil {
 		return nil, err
 	}
@@ -275,7 +287,10 @@ func commitSchedule(f *agent.Fleet) (*schedule.Schedule, error) {
 // observe runs at the start of every slot: once a pending adjustment's
 // protocol traffic has drained, the fleet's schedule is committed into the
 // MAC effective this very slot — the earliest slot boundary after the last
-// protocol message, exactly when the testbed's nodes switch schedules.
+// protocol message, exactly when the testbed's nodes switch schedules. The
+// MAC is patched from the links the fleet's schedule changed since the
+// last install (Fleet.TakeScheduleChanges), so a commit costs O(change);
+// a refused commit leaves the record to the next one.
 func (cs *CoSim) observe() {
 	if !cs.pending || cs.Bus.Pending() != 0 {
 		return
@@ -296,7 +311,8 @@ func (cs *CoSim) observe() {
 			panic(fmt.Sprintf("cosim: commit invariant: %v", err))
 		}
 	}
-	cs.Sim.SetSchedule(sched)
+	cs.changed = cs.Fleet.TakeScheduleChanges(cs.changed)
+	cs.Sim.PatchSchedule(sched, cs.changed)
 	cm := Commit{
 		TriggerSlot:      cs.trigger,
 		CommitSlot:       cs.Sim.Now(),

@@ -175,8 +175,23 @@ func TestRegistry(t *testing.T) {
 	if got := r.SumKind(MetricNodeRx); got != 2 {
 		t.Errorf("sum node_rx = %d, want 2", got)
 	}
-	if got := r.Nodes(MetricNodeTx, MetricNodeRx); !reflect.DeepEqual(got, []int{1, 3}) {
-		t.Errorf("participant nodes = %v, want [1 3]", got)
+	r.Add(NodeKey(5, MetricNodeTx), 0) // a zero counter is no participant
+	for _, tc := range []struct {
+		kinds []string
+		want  int
+	}{
+		{[]string{MetricNodeTx, MetricNodeRx}, 2}, // nodes 1 and 3
+		{[]string{MetricNodeRx, MetricNodeTx}, 2},
+		{[]string{MetricNodeRx}, 2},
+		{[]string{MetricNodeTx}, 1},
+		{[]string{MetricEscalations}, 0}, // layer-scoped only
+	} {
+		if got := r.NodeCount(tc.kinds...); got != tc.want {
+			t.Errorf("NodeCount(%v) = %d, want %d", tc.kinds, got, tc.want)
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { _ = r.NodeCount(MetricNodeTx, MetricNodeRx) }); a != 0 {
+		t.Errorf("NodeCount allocates %.1f times per call", a)
 	}
 	keys := r.CounterKeys()
 	for i := 1; i < len(keys); i++ {
@@ -207,7 +222,7 @@ func TestRegistry(t *testing.T) {
 	nilReg.Inc(Key("x"))
 	nilReg.Observe(Key("x"), 1)
 	nilReg.SetGauge(Key("x"), 1)
-	if nilReg.Counter(Key("x")) != 0 || nilReg.CounterKeys() != nil || nilReg.Nodes("x") != nil {
+	if nilReg.Counter(Key("x")) != 0 || nilReg.CounterKeys() != nil || nilReg.NodeCount("x") != 0 {
 		t.Error("nil registry is not a zero no-op")
 	}
 }

@@ -1,6 +1,9 @@
 package obs
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // MetricKey identifies one metric series: the node and hierarchy layer
 // the value is attributed to (None for channel- or run-global series)
@@ -304,13 +307,17 @@ func (r *Registry) SeriesStat(k MetricKey) (width int, vals []int64, ok bool) {
 // (Dist, Series) are deliberately NOT cleared: they are run-cumulative
 // — latency histograms and windowed series must span every adjustment
 // of the run to support SLO verdicts and p50/p99 bench keys.
+//
+// The maps are replaced, not cleared: clearing costs O(capacity), and a
+// static phase grows them to thousands of keys that a single adjustment
+// never touches again.
 func (r *Registry) Reset() {
 	if r == nil {
 		return
 	}
-	clear(r.counters)
-	clear(r.gauges)
-	clear(r.hists)
+	r.counters = make(map[MetricKey]int64)
+	r.gauges = make(map[MetricKey]float64)
+	r.hists = make(map[MetricKey]*HistStat)
 }
 
 // CounterKeys returns every counter key with a non-zero value, sorted by
@@ -351,28 +358,35 @@ func (r *Registry) SumKind(kind string) int64 {
 	return total
 }
 
-// Nodes returns the distinct node IDs holding a non-zero counter of any
-// of the given kinds, sorted ascending.
-func (r *Registry) Nodes(kinds ...string) []int {
+// NodeCount returns how many distinct nodes hold a non-zero per-node
+// counter (NodeKey, no layer) of any of the given kinds, counted without
+// allocating.
+func (r *Registry) NodeCount(kinds ...string) int {
 	if r == nil {
-		return nil
+		return 0
 	}
-	want := make(map[string]bool, len(kinds))
-	for _, k := range kinds {
-		want[k] = true
-	}
-	seen := make(map[int]bool)
+	n := 0
 	for k, v := range r.counters {
-		if v != 0 && k.Node != None && want[k.Kind] {
-			seen[k.Node] = true
+		if v == 0 || k.Node == None || k.Layer != None {
+			continue
+		}
+		i := slices.Index(kinds, k.Kind)
+		if i < 0 {
+			continue
+		}
+		// Count each node once: under the first of the kinds it holds.
+		first := true
+		for _, prev := range kinds[:i] {
+			if r.counters[NodeKey(k.Node, prev)] != 0 {
+				first = false
+				break
+			}
+		}
+		if first {
+			n++
 		}
 	}
-	nodes := make([]int, 0, len(seen))
-	for n := range seen {
-		nodes = append(nodes, n)
-	}
-	sort.Ints(nodes)
-	return nodes
+	return n
 }
 
 // lessNLK is the exporter ordering contract: keys sort by node, then

@@ -17,6 +17,11 @@ import (
 // O(cells of those links), not O(schedule). Endpoints come from the tree;
 // once the ledger exists, the tree may change only through
 // Ledger.Reparent, which re-books the moved node's links.
+//
+// The ledger also records which links changed — their cells, or their
+// endpoints after a Reparent — until TakeChanged hands the record over,
+// so a consumer holding an earlier copy of the schedule (the MAC) can
+// patch just those links.
 type Ledger struct {
 	s    *Schedule
 	tree *topology.Tree
@@ -33,6 +38,13 @@ type Ledger struct {
 	halfDuplex int
 	outOfFrame int // links holding a cell outside the slotframe
 	unplaced   int // links whose child the tree does not know
+
+	// changed lists the links recorded since the last TakeChanged, once
+	// each: changedBits marks them by (child's dense tree index,
+	// direction). A link whose child the tree does not know has no index
+	// and is listed at every change.
+	changed     []topology.Link
+	changedBits []uint64
 
 	scratch []Cell
 }
@@ -80,6 +92,10 @@ func (g *Ledger) Set(l topology.Link, cells []Cell) {
 		g.s.cells[l] = cells // same occupancy
 		return
 	}
+	if !ok && len(cells) == 0 {
+		return
+	}
+	g.record(l)
 	if ok {
 		g.book(l.Child, old, -1)
 		delete(g.s.cells, l)
@@ -90,11 +106,44 @@ func (g *Ledger) Set(l topology.Link, cells []Cell) {
 	}
 }
 
+// record adds l to the change record.
+func (g *Ledger) record(l topology.Link) {
+	if i := g.tree.Index(l.Child); i >= 0 {
+		b := 2*i + int(l.Direction)
+		if w := bitset.Words(b + 1); w > len(g.changedBits) {
+			g.changedBits = append(g.changedBits, make([]uint64, w-len(g.changedBits))...)
+		}
+		if bitset.Get(g.changedBits, b) {
+			return
+		}
+		bitset.Set(g.changedBits, b)
+	}
+	g.changed = append(g.changed, l)
+}
+
+// TakeChanged returns the links recorded since the last call, in
+// recording order, and starts the next record in dst's storage (reset to
+// length zero). A caller that passes back the slice it got last time
+// alternates two buffers without allocating. Validate and Schedule do not
+// consume the record: it grows until taken.
+func (g *Ledger) TakeChanged(dst []topology.Link) []topology.Link {
+	out := g.changed
+	for _, l := range out {
+		if i := g.tree.Index(l.Child); i >= 0 {
+			bitset.Clear(g.changedBits, 2*i+int(l.Direction))
+		}
+	}
+	g.changed = dst[:0]
+	return out
+}
+
 // Reparent moves child under newParent in the ledger's tree and re-books
-// the child's own links under their new endpoints.
+// the child's own links under their new endpoints. Both links are
+// recorded as changed: their endpoints moved.
 func (g *Ledger) Reparent(child, newParent topology.NodeID) error {
 	own := [2]topology.Link{{Child: child, Direction: topology.Uplink}, {Child: child, Direction: topology.Downlink}}
 	for _, l := range own {
+		g.record(l)
 		g.book(child, g.s.cells[l], -1)
 	}
 	err := g.tree.Reparent(child, newParent)

@@ -127,3 +127,48 @@ func TestLedgerNamesLowestSharedCell(t *testing.T) {
 		t.Fatalf("after clearing the sharers: %v", err)
 	}
 }
+
+// TestLedgerRecordsChangedLinks pins the change record a MAC patches
+// from: a Set that changes a link's cells and both links of a reparented
+// child are recorded once each until taken; an unchanged Set and Validate
+// record nothing; a link whose child the tree does not know is recorded
+// at every change.
+func TestLedgerRecordsChangedLinks(t *testing.T) {
+	tree := topology.Fig1()
+	g, err := NewLedger(testFrame(), tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := func(c topology.NodeID) topology.Link { return topology.Link{Child: c, Direction: topology.Uplink} }
+	down := func(c topology.NodeID) topology.Link { return topology.Link{Child: c, Direction: topology.Downlink} }
+	g.Set(up(8), []Cell{{Slot: 1}})
+	g.Set(down(2), []Cell{{Slot: 2}})
+	g.TakeChanged(nil)
+
+	g.Set(up(8), []Cell{{Slot: 1}})            // same cells
+	g.Set(up(3), nil)                          // never scheduled
+	g.Set(up(8), []Cell{{Slot: 1}, {Slot: 3}}) // raised
+	g.Set(up(8), []Cell{{Slot: 4}})            // moved again: still one entry
+	g.Set(down(2), nil)                        // removed
+	g.Set(up(99), []Cell{{Slot: 5}})           // unknown child
+	g.Set(up(99), []Cell{{Slot: 6}})
+	_ = g.Validate()
+	if err := g.Reparent(8, 7); err != nil {
+		t.Fatal(err)
+	}
+	got := g.TakeChanged(nil)
+	want := []topology.Link{up(8), down(2), up(99), up(99), down(8)}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recorded %v, want %v", got, want)
+	}
+	// The record restarts in the storage handed back, and survives
+	// until taken.
+	g.Set(up(8), []Cell{{Slot: 7}})
+	again := g.TakeChanged(got)
+	if !reflect.DeepEqual(again, []topology.Link{up(8)}) {
+		t.Fatalf("second record %v, want [%v]", again, up(8))
+	}
+	if rest := g.TakeChanged(nil); len(rest) != 0 {
+		t.Fatalf("record not emptied by TakeChanged: %v", rest)
+	}
+}

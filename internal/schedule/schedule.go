@@ -5,9 +5,10 @@
 package schedule
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/harpnet/harp/internal/topology"
@@ -199,23 +200,30 @@ func (s *Schedule) Cells(l topology.Link) []Cell {
 	return out
 }
 
+// LinkCells returns the link's allocated cells without copying them: the
+// caller must not modify the slice, and a later change to the schedule may
+// replace it.
+func (s *Schedule) LinkCells(l topology.Link) []Cell { return s.cells[l] }
+
 // Links returns all links with at least one cell, sorted.
 func (s *Schedule) Links() []topology.Link {
 	out := make([]topology.Link, 0, len(s.cells))
 	for l := range s.cells {
 		out = append(out, l)
 	}
-	sort.Slice(out, func(i, j int) bool { return linkLess(out[i], out[j]) })
+	slices.SortFunc(out, compareLinks)
 	return out
 }
 
-// linkLess is the Links order: direction, then child.
-func linkLess(a, b topology.Link) bool {
-	if a.Direction != b.Direction {
-		return a.Direction < b.Direction
+// compareLinks is the Links order: direction, then child.
+func compareLinks(a, b topology.Link) int {
+	if c := cmp.Compare(a.Direction, b.Direction); c != 0 {
+		return c
 	}
-	return a.Child < b.Child
+	return cmp.Compare(a.Child, b.Child)
 }
+
+func linkLess(a, b topology.Link) bool { return compareLinks(a, b) < 0 }
 
 // TotalCells returns the number of (link, cell) assignments.
 func (s *Schedule) TotalCells() int {

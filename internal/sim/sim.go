@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"github.com/harpnet/harp/internal/bitset"
 	"github.com/harpnet/harp/internal/obs"
@@ -192,7 +191,7 @@ type Simulator struct {
 	// not allocate. Node commitments live in dense generation-stamped
 	// arrays (an entry is valid only when its stamp equals the current
 	// epoch), so "clearing" them is one counter increment per slot; node
-	// ids map to array indices via nodeIx, resolved once at SetSchedule.
+	// ids map to array indices via nodeIx, resolved at schedule install.
 	// usersCh counts same-channel senders within the slot (co-cell
 	// contention — all cells of one slot share the slot coordinate, so the
 	// channel alone keys a cell). attemptsBuf is truncated per slot.
@@ -224,11 +223,21 @@ type Simulator struct {
 	// busyCount[sif] counts links holding both a cell at sif and a
 	// non-empty queue, and busyBits mirrors busyCount > 0 as a bitset for
 	// next-set scans. Maintained on queue empty<->non-empty transitions
-	// (markLinkBusy/markLinkIdle) and rebuilt by SetSchedule. A slot whose
-	// slot-in-frame is not busy provably performs no transmission work.
-	linkCellsQ [][]int
-	busyCount  []int
-	busyBits   []uint64
+	// (markLinkBusy/markLinkIdle), rebuilt by SetSchedule and moved link
+	// by link by PatchSchedule. A slot whose slot-in-frame is not busy
+	// provably performs no transmission work. unserved lists queues that
+	// turned non-empty while their link held no cell (they can never
+	// empty: only a transmission pops); the next install drains those
+	// still cell-less. installedCells counts the installed schedule's
+	// (link, cell) pairs.
+	linkCellsQ     [][]int
+	busyCount      []int
+	busyBits       []uint64
+	unserved       []int
+	installedCells int
+
+	// strandBuf is the stranded-queue scratch every install reuses.
+	strandBuf []int
 
 	// serial forces one step per slot — the reference stepping mode the
 	// equivalence tests diff the skipping stepper against.
@@ -270,9 +279,9 @@ type Simulator struct {
 	LossFailures int
 	// Expired counts packets dropped after exhausting MaxRetries at a hop.
 	Expired int
-	// SwapDrops counts packets discarded by a SetSchedule hot swap because
-	// their link lost all cells in the new schedule (they could never be
-	// transmitted again).
+	// SwapDrops counts packets discarded by a schedule hot swap
+	// (SetSchedule, PatchSchedule) because their link holds no cell in the
+	// new schedule (they could never be transmitted again).
 	SwapDrops int
 	// Unroutable counts released packets dropped immediately because the
 	// simulator holds no cached route for their endpoint. Every release
@@ -284,8 +293,8 @@ type Simulator struct {
 type scheduledCell struct {
 	cell schedule.Cell
 	link topology.Link
-	// sender/receiver are the link endpoints, resolved once at SetSchedule
-	// time instead of two tree lookups per cell per slot; sIx/rIx are
+	// sender/receiver are the link endpoints, resolved once per install
+	// instead of two tree lookups per cell per slot; sIx/rIx are
 	// their dense commitment-array indices and q the link's queue index,
 	// so the transmit passes index arrays instead of hashing map keys.
 	sender   topology.NodeID
@@ -469,11 +478,12 @@ func (s *Simulator) qindex(l topology.Link) int {
 	s.queueIx[l] = ix
 	s.queueLink = append(s.queueLink, l)
 	s.queueList = append(s.queueList, linkQueue{})
+	s.linkCellsQ = append(s.linkCellsQ, nil)
 	return ix
 }
 
 // nodeIndex returns the node's dense commitment-array index, growing the
-// arrays on first sight. Called only at SetSchedule time.
+// arrays on first sight. Called only when a schedule is installed.
 func (s *Simulator) nodeIndex(n topology.NodeID) int {
 	if ix, ok := s.nodeIx[n]; ok {
 		return ix
@@ -555,109 +565,18 @@ func (s *Simulator) SetMetrics(m *obs.Registry) {
 	}
 }
 
-// SetSchedule installs (or replaces) the active cell schedule. Queued
-// packets are retained and continue over the new cells — except packets on
-// a link the new schedule no longer serves at all, which are drained and
-// counted in SwapDrops (a cell-less link would hold them forever). Safe to
-// call mid-run from an At or EachSlot callback: the swap takes effect for
-// the current slot's transmissions.
-func (s *Simulator) SetSchedule(sched *schedule.Schedule) {
-	s.cellsBySlot = make([][]scheduledCell, s.frame.Slots)
-	served := make([]bool, len(s.queueList))
-	lcq := make([][]int, len(s.queueList))
-	maxChannel := -1
-	for _, tx := range sched.Transmissions() {
-		sc := scheduledCell{cell: tx.Cell, link: tx.Link}
-		sc.sender, sc.receiver, sc.err = s.endpointsOf(tx.Link)
-		sc.q = s.qindex(tx.Link)
-		if sc.err == nil {
-			sc.sIx = s.nodeIndex(sc.sender)
-			sc.rIx = s.nodeIndex(sc.receiver)
-		}
-		s.cellsBySlot[tx.Cell.Slot] = append(s.cellsBySlot[tx.Cell.Slot], sc)
-		if sc.q >= len(served) { // qindex may have grown the queue table
-			served = append(served, make([]bool, sc.q+1-len(served))...)
-			lcq = append(lcq, make([][]int, sc.q+1-len(lcq))...)
-		}
-		served[sc.q] = true
-		lcq[sc.q] = append(lcq[sc.q], tx.Cell.Slot)
-		if tx.Cell.Channel > maxChannel {
-			maxChannel = tx.Cell.Channel
-		}
-	}
-	if maxChannel+1 > len(s.usersCh) {
-		s.usersCh = make([]int, maxChannel+1)
-	}
-	for _, cells := range s.cellsBySlot {
-		sort.Slice(cells, func(i, j int) bool {
-			if cells[i].cell.Channel != cells[j].cell.Channel {
-				return cells[i].cell.Channel < cells[j].cell.Channel
-			}
-			if cells[i].link.Direction != cells[j].link.Direction {
-				return cells[i].link.Direction < cells[j].link.Direction
-			}
-			return cells[i].link.Child < cells[j].link.Child
-		})
-	}
-	// Drain packets stranded on links the new schedule no longer serves,
-	// in sorted link order so the emitted trace events are deterministic
-	// (queue-index assignment order is route-cache order, not link order).
-	var stranded []int
-	for ix := range s.queueList {
-		if s.queueList[ix].depth() > 0 && (ix >= len(served) || !served[ix]) {
-			stranded = append(stranded, ix)
-		}
-	}
-	sort.Slice(stranded, func(i, j int) bool {
-		li, lj := s.queueLink[stranded[i]], s.queueLink[stranded[j]]
-		if li.Child != lj.Child {
-			return li.Child < lj.Child
-		}
-		return li.Direction < lj.Direction
-	})
-	if tr := s.tracer; tr.Enabled() {
-		tr.Emit(obs.Ev(obs.KindMacSwap).WithSlot(s.now, obs.None).
-			WithDetail(fmt.Sprintf("cells=%d stranded=%d", len(sched.Transmissions()), len(stranded))))
-	}
-	for _, ix := range stranded {
-		l := s.queueLink[ix]
-		q := &s.queueList[ix]
-		for _, p := range q.buf[q.head:] {
-			s.SwapDrops++
-			s.metrics.Inc(obs.Key(obs.MetricSwapDrops))
-			s.records[p.rec].Dropped = true
-			if tr := s.tracer; tr.Enabled() {
-				tr.Emit(obs.Ev(obs.KindMacSwapDrop).WithNode(int(l.Child)).WithSlot(s.now, obs.None).
-					WithDetail(fmt.Sprintf("task %d", p.task)))
-			}
-		}
-		q.reset()
-	}
-	// Rebuild the activity index for the new schedule: fresh cell lists,
-	// then one busy transition per surviving non-empty queue.
-	s.linkCellsQ = lcq
-	for i := range s.busyCount {
-		s.busyCount[i] = 0
-	}
-	for i := range s.busyBits {
-		s.busyBits[i] = 0
-	}
-	for ix := range s.queueList {
-		if s.queueList[ix].depth() > 0 {
-			s.markLinkBusy(ix)
-		}
-	}
-}
-
 // markLinkBusy and markLinkIdle maintain the activity index on a link
 // queue's empty<->non-empty transitions. Cost is O(cells of the link), paid
-// per transition — not per slot. A queue index beyond linkCellsQ belongs to
-// a link the current schedule never serves (no cells, nothing to mark).
+// per transition — not per slot. A queue turning non-empty on a link the
+// installed schedule does not serve has nothing to mark; it joins the
+// unserved list, which the next schedule install drains.
 func (s *Simulator) markLinkBusy(qi int) {
-	if qi >= len(s.linkCellsQ) {
+	slots := s.linkCellsQ[qi]
+	if len(slots) == 0 {
+		s.unserved = append(s.unserved, qi)
 		return
 	}
-	for _, sif := range s.linkCellsQ[qi] {
+	for _, sif := range slots {
 		s.busyCount[sif]++
 		if s.busyCount[sif] == 1 {
 			bitset.Set(s.busyBits, sif)
@@ -666,9 +585,6 @@ func (s *Simulator) markLinkBusy(qi int) {
 }
 
 func (s *Simulator) markLinkIdle(qi int) {
-	if qi >= len(s.linkCellsQ) {
-		return
-	}
 	for _, sif := range s.linkCellsQ[qi] {
 		s.busyCount[sif]--
 		if s.busyCount[sif] == 0 {

@@ -892,7 +892,7 @@ func (b *Bus) Delivered() int {
 // ParticipantCount returns how many distinct nodes sent or received a
 // message since the last ResetCounters — the "Nodes" column of Table II.
 func (b *Bus) ParticipantCount() int {
-	return len(b.metrics.Nodes(obs.MetricNodeTx, obs.MetricNodeRx))
+	return b.metrics.NodeCount(obs.MetricNodeTx, obs.MetricNodeRx)
 }
 
 // Faults returns a snapshot of the channel-fault and reliability-layer
